@@ -16,6 +16,11 @@
 //                 with the ledger's Sum()==total invariant intact and the
 //                 fd-table / conn-slab rows cross-checked against the
 //                 structures' own tracked_bytes() self-reports.
+//   rss/conn    — host resident-set growth per open connection, from world
+//                 assembly to the established fleet (/proc/self/statm). It
+//                 sees what the ledger cannot: the C++ objects behind each
+//                 connection on both sides of the link. Host-dependent, so
+//                 report-only: it is in no gate and no signature.
 //
 // The grown event cores (epoll, kqueue) additionally run with the transport
 // plane attached ("+tp" rows): every idle connection then carries a cold TCP
@@ -34,7 +39,13 @@
 //   --quick   10k/100k points only (CI smoke); full mode adds the 1M point.
 //   exit code: number of gate failures (0 = all green).
 
+#include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -165,6 +176,7 @@ struct PointResult {
   uint64_t buffer_bytes = 0;
   uint64_t transport_bytes = 0;
   double bytes_per_conn = 0;
+  double rss_bytes_per_conn = 0;  // host-dependent; report-only
   bool ledger_consistent = false;
   bool crosscheck_ok = false;
   // CPU shape over the idle window.
@@ -178,6 +190,17 @@ struct PointResult {
   bool attribution_ok = false;
   std::string signature;
 };
+
+// Current resident set of this process in bytes, 0 if unreadable.
+int64_t CurrentRssBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) {
+    return 0;
+  }
+  return resident_pages * static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+}
 
 PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   PointResult r;
@@ -269,6 +292,13 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   }
   r.setup_ok = true;
 
+  // Every point runs in this one process, so hand earlier points' freed heap
+  // back to the OS first; otherwise reusing it would hide this point's growth.
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  const int64_t rss_assembled = CurrentRssBytes();
+
   IdleFleet fleet(&net, sys.listener(server->listener_fd()), &server->stats(),
                   target);
   fleet.Start();
@@ -282,6 +312,10 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   }
   r.open = server->open_connections();
   r.refused = fleet.refused();
+  if (r.open != 0) {
+    r.rss_bytes_per_conn = static_cast<double>(CurrentRssBytes() - rss_assembled) /
+                           static_cast<double>(r.open);
+  }
 
   // Memory plateau: every structure is at its idle-state footprint.
   const MemLedger mem_at_plateau = kernel.mem();
@@ -357,6 +391,7 @@ void AppendJson(std::ostringstream& out, const std::string& label,
       << "\"connections\": " << r.target << ", "
       << "\"open\": " << r.open << ", "
       << "\"bytes_per_conn\": " << Fixed(r.bytes_per_conn, 1) << ", "
+      << "\"rss_bytes_per_conn\": " << Fixed(r.rss_bytes_per_conn, 1) << ", "
       << "\"fd_table_bytes\": " << r.fd_bytes << ", "
       << "\"conn_bytes\": " << r.conn_bytes << ", "
       << "\"interest_bytes\": " << r.interest_bytes << ", "
@@ -403,7 +438,8 @@ int main(int argc, char** argv) {
 
   std::cout << "=== million-idle sweep: CPU shape + bytes/connection"
             << (quick ? " (quick)" : "") << " ===\n\n";
-  Table table({"server", "conns", "open", "bytes_per_conn", "fd_b", "conn_b",
+  Table table({"server", "conns", "open", "bytes_per_conn",
+               "rss_bytes_per_conn", "fd_b", "conn_b",
                "int_b", "tp_b", "idle_cpu_pct", "wait_ms", "sweep_ms",
                "loop_ms", "iters", "verdict"});
 
@@ -450,7 +486,8 @@ int main(int argc, char** argv) {
       }
 
       table.AddRow({label, std::to_string(a.target), std::to_string(a.open),
-                    Fixed(a.bytes_per_conn, 1), std::to_string(a.fd_bytes),
+                    Fixed(a.bytes_per_conn, 1), Fixed(a.rss_bytes_per_conn, 1),
+                    std::to_string(a.fd_bytes),
                     std::to_string(a.conn_bytes),
                     std::to_string(a.interest_bytes),
                     std::to_string(a.transport_bytes), Fixed(a.idle_cpu_pct, 3),

@@ -159,21 +159,7 @@ void SimSocket::DeliverEof() {
 
 ReadResult SimSocket::Read(size_t max_bytes) {
   ReadResult result;
-  while (result.n < max_bytes && !recv_queue_.empty()) {
-    Chunk& front = recv_queue_.front();
-    size_t want = max_bytes - result.n;
-    // Real bytes first, then synthetic padding.
-    const size_t from_data = std::min(want, front.data.size());
-    result.data.append(front.data, 0, from_data);
-    front.data.erase(0, from_data);
-    want -= from_data;
-    const size_t from_synth = std::min(want, front.synthetic);
-    front.synthetic -= from_synth;
-    result.n += from_data + from_synth;
-    if (front.size() == 0) {
-      recv_queue_.pop_front();
-    }
-  }
+  result.n = recv_queue_.Consume(max_bytes, &result.data);
   recv_available_ -= result.n;
   kernel()->mem().Sub(MemSys::kBuffers, result.n);
   if (result.n == 0 && eof_received_) {

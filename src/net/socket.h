@@ -17,28 +17,18 @@
 #define SRC_NET_SOCKET_H_
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "src/kernel/file.h"
 #include "src/kernel/poll_types.h"
+#include "src/net/chunk_queue.h"
 
 namespace scio {
 
 class NetStack;
 class TcpTransportHook;
-
-// A unit of transmitted data. `data` carries real bytes (HTTP requests and
-// response headers are real so parsers can run); `synthetic` counts payload
-// bytes whose content doesn't matter (response bodies), so we don't shuttle
-// megabytes of zeroes through the simulator.
-struct Chunk {
-  std::string data;
-  size_t synthetic = 0;
-  size_t size() const { return data.size() + synthetic; }
-};
 
 struct ReadResult {
   size_t n = 0;        // bytes consumed (0 with eof=false means would-block)
@@ -142,7 +132,7 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   int remote_port_ = -1;
   std::weak_ptr<SimSocket> peer_;
 
-  std::deque<Chunk> recv_queue_;
+  ChunkQueue recv_queue_;
   size_t recv_available_ = 0;
   bool eof_received_ = false;
   bool port_released_ = false;

@@ -14,10 +14,10 @@
 #define SRC_TRANSPORT_TCP_STATE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 
 #include "src/kernel/paged_slab.h"
+#include "src/net/chunk_queue.h"
 #include "src/net/socket.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
@@ -118,7 +118,7 @@ struct TcpHot {
   uint32_t cwnd_acc = 0;     // congestion-avoidance byte accumulator
   bool in_recovery = false;
   bool tlp_out = false;      // one tail-loss probe per flight
-  std::deque<Chunk> backlog;  // accepted, not yet segmented
+  ChunkQueue backlog;  // accepted, not yet segmented
   size_t backlog_bytes = 0;
 
   // --- delivery-rate bookkeeping (BBR) -----------------------------------------

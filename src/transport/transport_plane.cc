@@ -162,7 +162,7 @@ TcpHot& TransportPlane::EnsureHot(Side& s, TcpConn& c) {
   assert(hi >= 0 && "hot slab exhausted with cold blocks live");
   TcpHot& h = s.hot.At(hi);
   // AllocateLowest parks objects without resetting them: clear every field,
-  // keeping container capacity (deque / map nodes) for reuse.
+  // keeping the backlog's storage capacity for reuse.
   h.rto_timer.Cancel();
   h.loss_timer.Cancel();
   h.pace_timer.Cancel();
