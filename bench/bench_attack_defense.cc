@@ -15,16 +15,17 @@
 // pre-attack baseline within a bounded post-attack window. Every run must
 // satisfy attribution.Sum() == busy_time (filter CPU is charged like any
 // other kernel work), and a double-run section proves campaigns replay
-// bit-for-bit. A final sweep prices rule-chain traversal against connection
-// count for the filtering-cost table in EXPERIMENTS.md.
+// bit-for-bit (identical run Signature()). A final sweep prices rule-chain
+// traversal against connection count for the filtering-cost table in
+// EXPERIMENTS.md.
 
 #include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/load/benchmark_run.h"
 #include "src/load/smp_benchmark_run.h"
 #include "src/metrics/table.h"
@@ -269,41 +270,25 @@ Recovery MeasureRecovery(const std::vector<double>& series, const Layout& layout
   return r;
 }
 
-// Everything that must be bit-identical across two runs of the same seed:
-// the torture-bench signature plus the attack/chain/defense ledgers.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors << '|'
-      << result.client_retries << '|' << result.kernel_stats.syscalls << '|'
-      << result.kernel_stats.net_raw_syns << '|'
-      << result.kernel_stats.net_syncookies_sent << '|'
-      << result.kernel_stats.net_syn_backlog_overflows << '|'
-      << result.server_stats.connections_accepted << '|'
-      << result.server_stats.deadline_reaps << '|' << result.syn_backlog_peak << '|';
-  for (const auto& [name, value] : result.attack_stats.ToRows()) {
-    out << name << '=' << value << ';';
+// The cell verdict: the attribution invariant on every run; under the
+// adaptive posture, the robustness claim — degrade gracefully under attack
+// (>= 2x the no-filter reply rate at peak), then, where `recovery` is
+// judged, come back once it clears.
+std::string Verdict(const BenchmarkResult& result, Posture posture, double attack_mean,
+                    double no_filter_mean, const Recovery* recovery) {
+  if (result.attribution.Sum() != result.busy_time) {
+    return "FAIL(attribution)";
   }
-  for (const auto& [name, value] : result.chain_stats.ToRows()) {
-    out << name << '=' << value << ';';
+  if (posture != Posture::kAdaptive) {
+    return "ok";
   }
-  for (const auto& [name, value] : result.defense_stats.ToRows()) {
-    out << name << '=' << value << ';';
+  if (attack_mean < std::max(2.0 * no_filter_mean, 1.0)) {
+    return "FAIL(2x-gate)";
   }
-  // Same seed must spend every nanosecond in the same place, not just reach
-  // the same totals.
-  out << result.attribution.Signature() << '|' << result.busy_time << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
+  if (recovery != nullptr && !recovery->ok) {
+    return "FAIL(no-recovery)";
   }
-  return out.str();
-}
-
-std::string Fixed(double value, int precision) {
-  std::ostringstream out;
-  out.precision(precision);
-  out << std::fixed << value;
-  return out.str();
+  return "PASS(2x)";
 }
 
 }  // namespace
@@ -312,12 +297,7 @@ std::string Fixed(double value, int precision) {
 int main(int argc, char** argv) {
   using namespace scio;
 
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") {
-      quick = true;
-    }
-  }
+  const bool quick = gate::ParseFlags(argc, argv).quick;
   const Layout layout = MakeLayout(quick);
   const std::vector<Campaign> campaigns = BuildCampaigns(layout);
   // The successor cores (epoll, kqueue) run the same campaigns as the 1999
@@ -333,7 +313,7 @@ int main(int argc, char** argv) {
                                       ServerKind::kPhhttpdKqueue};
   const std::vector<Posture> postures = {Posture::kNoFilter, Posture::kStatic,
                                          Posture::kAdaptive};
-  int failures = 0;
+  gate::Tally tally;
 
   std::cout << "=== attack & defense: campaigns vs filtering postures"
             << (quick ? " (quick)" : "") << " ===\n\n";
@@ -352,7 +332,7 @@ int main(int argc, char** argv) {
           table.AddRow({campaign.name, ServerKindName(server), PostureName(posture),
                         "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-",
                         "FAIL(setup)"});
-          ++failures;
+          tally.Fail();
           continue;
         }
         const double attack_mean = AttackWindowMean(result.reply_series, layout);
@@ -361,33 +341,15 @@ int main(int argc, char** argv) {
           no_filter_mean = attack_mean;
         }
 
-        bool ok = true;
-        std::string verdict = "ok";
-        if (result.attribution.Sum() != result.busy_time) {
-          ok = false;
-          verdict = "FAIL(attribution)";
-        } else if (posture == Posture::kAdaptive) {
-          // The robustness claim: degrade gracefully under attack, then
-          // come back once it clears.
-          if (attack_mean < std::max(2.0 * no_filter_mean, 1.0)) {
-            ok = false;
-            verdict = "FAIL(2x-gate)";
-          } else if (!recovery.ok) {
-            ok = false;
-            verdict = "FAIL(no-recovery)";
-          } else {
-            verdict = "PASS(2x)";
-          }
-        }
-        if (!ok) {
-          ++failures;
-        }
+        const std::string verdict =
+            Verdict(result, posture, attack_mean, no_filter_mean, &recovery);
+        tally.Check(verdict.rfind("FAIL", 0) != 0);
 
         const uint64_t chain_drops =
             result.chain_stats.dropped + result.chain_stats.rate_limit_drops;
         table.AddRow(
             {campaign.name, ServerKindName(server), PostureName(posture),
-             Fixed(recovery.baseline, 1), Fixed(attack_mean, 1),
+             gate::Fixed(recovery.baseline, 1), gate::Fixed(attack_mean, 1),
              recovery.ok ? std::to_string(static_cast<int>(recovery.recovery_s))
                          : std::string("never"),
              std::to_string(result.kernel_stats.net_raw_syns),
@@ -395,9 +357,9 @@ int main(int argc, char** argv) {
              std::to_string(result.kernel_stats.net_syncookies_sent),
              std::to_string(result.server_stats.deadline_reaps),
              std::to_string(result.defense_stats.tier_peak),
-             Fixed(ToMillis(result.attribution[ChargeCat::kFilterMatch]), 2),
-             Fixed(ToMillis(result.attribution[ChargeCat::kFilterDrop]), 2),
-             Fixed(ToMillis(result.attribution[ChargeCat::kSynCookie]), 2), verdict});
+             gate::Fixed(ToMillis(result.attribution[ChargeCat::kFilterMatch]), 2),
+             gate::Fixed(ToMillis(result.attribution[ChargeCat::kFilterDrop]), 2),
+             gate::Fixed(ToMillis(result.attribution[ChargeCat::kSynCookie]), 2), verdict});
       }
     }
   }
@@ -415,7 +377,7 @@ int main(int argc, char** argv) {
       if (!result.setup_ok) {
         smp_table.AddRow({campaign.name, PostureName(posture), "-", "-", "-", "-",
                           "-", "-", "-", "FAIL(setup)"});
-        ++failures;
+        tally.Fail();
         continue;
       }
       const double attack_mean = AttackWindowMean(result.reply_series, layout);
@@ -424,27 +386,14 @@ int main(int argc, char** argv) {
         no_filter_mean = attack_mean;
       }
 
-      bool ok = true;
-      std::string verdict = "ok";
-      if (result.attribution.Sum() != result.busy_time) {
-        ok = false;
-        verdict = "FAIL(attribution)";
-      } else if (posture == Posture::kAdaptive) {
-        if (attack_mean < std::max(2.0 * no_filter_mean, 1.0)) {
-          ok = false;
-          verdict = "FAIL(2x-gate)";
-        } else {
-          verdict = "PASS(2x)";
-        }
-      }
-      if (!ok) {
-        ++failures;
-      }
+      const std::string verdict =
+          Verdict(result, posture, attack_mean, no_filter_mean, nullptr);
+      tally.Check(verdict.rfind("FAIL", 0) != 0);
 
       const uint64_t chain_drops =
           result.chain_stats.dropped + result.chain_stats.rate_limit_drops;
       smp_table.AddRow({campaign.name, PostureName(posture),
-                        Fixed(recovery.baseline, 1), Fixed(attack_mean, 1),
+                        gate::Fixed(recovery.baseline, 1), gate::Fixed(attack_mean, 1),
                         std::to_string(result.kernel_stats.net_raw_syns),
                         std::to_string(chain_drops),
                         std::to_string(result.kernel_stats.net_syncookies_sent),
@@ -459,25 +408,18 @@ int main(int argc, char** argv) {
   for (const Campaign& campaign : campaigns) {
     const BenchmarkRunConfig config =
         MakeConfig(layout, campaign, ServerKind::kThttpdDevPoll, Posture::kAdaptive);
-    const std::string first = MetricsSignature(RunBenchmark(config));
-    const std::string second = MetricsSignature(RunBenchmark(config));
-    const bool identical = first == second;
+    const bool identical =
+        tally.Check(gate::RunsIdentical([&] { return RunBenchmark(config); }));
     std::cout << "  " << campaign.name << " (adaptive, thttpd-devpoll): "
               << (identical ? "identical" : "DIVERGED") << "\n";
-    if (!identical) {
-      ++failures;
-    }
   }
   {
     const SmpBenchmarkConfig config =
         MakeSmpConfig(layout, campaigns.front(), Posture::kAdaptive);
     const bool identical =
-        RunSmpBenchmark(config).signature == RunSmpBenchmark(config).signature;
+        tally.Check(gate::RunsIdentical([&] { return RunSmpBenchmark(config); }));
     std::cout << "  " << campaigns.front().name << " (adaptive, sharded x4): "
               << (identical ? "identical" : "DIVERGED") << "\n";
-    if (!identical) {
-      ++failures;
-    }
   }
 
   std::cout << "\n=== filter cost vs connection count (benign load, junk rules) ===\n\n";
@@ -518,22 +460,18 @@ int main(int argc, char** argv) {
                               result.attribution[ChargeCat::kFilterDrop]);
       const bool ok =
           result.setup_ok && result.attribution.Sum() == result.busy_time;
-      if (!ok) {
-        ++failures;
-      }
+      tally.Check(ok);
       cost_table.AddRow(
           {std::to_string(rules), std::to_string(inactive),
-           Fixed(result.reply_avg, 1), std::to_string(evals),
+           gate::Fixed(result.reply_avg, 1), std::to_string(evals),
            std::to_string(result.kernel_stats.filter_rules_traversed),
-           Fixed(filter_ns / 1e6, 2),
-           Fixed(evals == 0 ? 0.0 : filter_ns / static_cast<double>(evals), 1),
+           gate::Fixed(filter_ns / 1e6, 2),
+           gate::Fixed(evals == 0 ? 0.0 : filter_ns / static_cast<double>(evals), 1),
            ok ? "ok" : "FAIL(attribution)"});
     }
   }
   cost_table.Print(std::cout);
   cost_table.WriteCsvFile("attack_filter_cost.csv");
 
-  std::cout << "\n" << (failures == 0 ? "ALL PASS" : "FAILURES: " + std::to_string(failures))
-            << std::endl;
-  return failures == 0 ? 0 : 1;
+  return tally.Finish();
 }

@@ -29,15 +29,16 @@
 // the same 256-byte gate (idle connections never allocate hot blocks or
 // retransmit-queue slots).
 //
-// Determinism gate: every point runs twice and the full signature (memory
-// ledger, time-attribution ledger, busy time, loop iterations, population)
-// must match byte for byte. The fleet is self-paced — the next connect batch
-// launches only when the previous one is fully established — so the ramp
-// adapts to each core's speed without ever refusing a connection.
+// Determinism gate: every point runs twice and the run Signature() of its
+// end-of-run snapshot (kernel and server counters, memory and time ledgers,
+// busy time, utilisation, population) must match byte for byte. The fleet
+// is self-paced — the next connect batch launches only when the previous one
+// is fully established — so the ramp adapts to each core's speed without
+// ever refusing a connection.
 //
 // Usage: bench_million_idle [--quick] [--json=FILE]
 //   --quick   10k/100k points only (CI smoke); full mode adds the 1M point.
-//   exit code: number of gate failures (0 = all green).
+//   exit status: 0 when every gate passes, 1 otherwise.
 
 #include <unistd.h>
 #ifdef __GLIBC__
@@ -46,14 +47,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/load/benchmark_run.h"
 #include "src/metrics/table.h"
 #include "src/net/listener.h"
@@ -163,8 +163,10 @@ class IdleFleet {
   size_t refused_ = 0;
 };
 
-struct PointResult {
-  bool setup_ok = false;
+// The BenchmarkResult base is the end-of-run snapshot the determinism gate
+// signs: kernel and server counters, both ledgers, busy time, utilisation,
+// and the open population (as `inactive`).
+struct PointResult : BenchmarkResult {
   size_t target = 0;
   size_t open = 0;
   size_t refused = 0;
@@ -188,7 +190,6 @@ struct PointResult {
   SimDuration t_other = 0;
   uint64_t window_iterations = 0;
   bool attribution_ok = false;
-  std::string signature;
 };
 
 // Current resident set of this process in bytes, 0 if unreadable.
@@ -228,69 +229,18 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   StaticContent content;
   content.AddDocument("/index.html", 6 * 1024);
 
-  ServerConfig server_config;
-  server_config.listen_backlog = static_cast<int>(kConnectBatch) * 2;
-  server_config.syn_backlog.max_half_open = static_cast<int>(kConnectBatch) * 2;
+  BenchmarkRunConfig config;
+  config.server = kind;
+  config.server_config.listen_backlog = static_cast<int>(kConnectBatch) * 2;
+  config.server_config.syn_backlog.max_half_open = static_cast<int>(kConnectBatch) * 2;
   // The fleet is idle by design; only the sweep machinery should tick.
-  server_config.idle_timeout = Seconds(1000000);
-
+  config.server_config.idle_timeout = Seconds(1000000);
   bool setup_ok = true;
-  std::unique_ptr<HttpServerBase> server;
-  switch (kind) {
-    case ServerKind::kThttpdPoll:
-      server = std::make_unique<ThttpdPoll>(&sys, &content, server_config,
-                                            PollSyscallOptions{});
-      setup_ok = server->Setup() >= 0;
-      break;
-    case ServerKind::kThttpdDevPoll: {
-      auto s = std::make_unique<ThttpdDevPoll>(&sys, &content, server_config,
-                                               ThttpdDevPollConfig{});
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpd: {
-      auto s = std::make_unique<Phhttpd>(&sys, &content, server_config,
-                                         PhhttpdConfig{});
-      setup_ok = s->Setup() >= 0;
-      if (setup_ok) {
-        s->SetupSignals();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kHybrid: {
-      auto s = std::make_unique<HybridServer>(&sys, &content, server_config,
-                                              ThttpdDevPollConfig{},
-                                              HybridServerConfig{});
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      if (setup_ok) {
-        s->SetupHybrid();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kThttpdEpoll:
-    case ServerKind::kThttpdEpollEt: {
-      ThttpdEpollConfig ep;
-      ep.edge_triggered = kind == ServerKind::kThttpdEpollEt;
-      auto s = std::make_unique<ThttpdEpoll>(&sys, &content, server_config, ep);
-      setup_ok = s->Setup() >= 0 && s->SetupEpoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpdKqueue: {
-      auto s = std::make_unique<PhhttpdKqueue>(&sys, &content, server_config,
-                                               PhhttpdKqueueConfig{});
-      setup_ok = s->Setup() >= 0 && s->SetupKqueue() >= 0;
-      server = std::move(s);
-      break;
-    }
-  }
+  const std::unique_ptr<HttpServerBase> server = MakeServer(config, &sys, &content, &setup_ok);
+  r.setup_ok = setup_ok;
   if (!setup_ok) {
     return r;
   }
-  r.setup_ok = true;
 
   // Every point runs in this one process, so hand earlier points' freed heap
   // back to the OS first; otherwise reusing it would hide this point's growth.
@@ -360,12 +310,14 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   r.t_other = r.window_busy - r.t_wait - r.t_sweep - r.t_loop;
   r.attribution_ok = attr.Sum() == kernel.busy_time();
 
-  std::ostringstream sig;
-  sig << kernel.mem().Signature() << '|' << attr.Signature() << '|'
-      << kernel.busy_time() << '|' << kernel.now() << '|'
-      << server->stats().loop_iterations << '|'
-      << server->stats().connections_accepted << '|' << r.open;
-  r.signature = sig.str();
+  r.inactive = static_cast<int>(r.open);
+  r.kernel_stats = kernel.stats();
+  r.server_stats = server->stats();
+  r.attribution = attr;
+  r.busy_time = kernel.busy_time();
+  r.cpu_utilization =
+      static_cast<double>(kernel.busy_time()) / static_cast<double>(kernel.now());
+  r.mem = kernel.mem();
 
   fleet.Shutdown();
   kernel.RequestStop();
@@ -373,35 +325,24 @@ PointResult RunPoint(ServerKind kind, size_t target, bool with_transport) {
   return r;
 }
 
-std::string Fixed(double v, int precision) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out.precision(precision);
-  out << v;
-  return out.str();
-}
-
-void AppendJson(std::ostringstream& out, const std::string& label,
-                const PointResult& r, bool identical, bool* first) {
-  if (!*first) {
-    out << ",\n";
-  }
-  *first = false;
-  out << "    {\"server\": \"" << label << "\", "
-      << "\"connections\": " << r.target << ", "
-      << "\"open\": " << r.open << ", "
-      << "\"bytes_per_conn\": " << Fixed(r.bytes_per_conn, 1) << ", "
-      << "\"rss_bytes_per_conn\": " << Fixed(r.rss_bytes_per_conn, 1) << ", "
-      << "\"fd_table_bytes\": " << r.fd_bytes << ", "
-      << "\"conn_bytes\": " << r.conn_bytes << ", "
-      << "\"interest_bytes\": " << r.interest_bytes << ", "
-      << "\"transport_bytes\": " << r.transport_bytes << ", "
-      << "\"idle_cpu_pct\": " << Fixed(r.idle_cpu_pct, 3) << ", "
-      << "\"wait_ms\": " << Fixed(ToMillis(r.t_wait), 2) << ", "
-      << "\"sweep_ms\": " << Fixed(ToMillis(r.t_sweep), 2) << ", "
-      << "\"loop_ms\": " << Fixed(ToMillis(r.t_loop), 2) << ", "
-      << "\"window_iterations\": " << r.window_iterations << ", "
-      << "\"deterministic\": " << (identical ? "true" : "false") << "}";
+std::string ToJson(const std::string& label, const PointResult& r, bool identical) {
+  using gate::Fixed;
+  using gate::Num;
+  return gate::JsonRow({{"server", gate::Quote(label)},
+                        {"connections", Num(r.target)},
+                        {"open", Num(r.open)},
+                        {"bytes_per_conn", Fixed(r.bytes_per_conn, 1)},
+                        {"rss_bytes_per_conn", Fixed(r.rss_bytes_per_conn, 1)},
+                        {"fd_table_bytes", Num(r.fd_bytes)},
+                        {"conn_bytes", Num(r.conn_bytes)},
+                        {"interest_bytes", Num(r.interest_bytes)},
+                        {"transport_bytes", Num(r.transport_bytes)},
+                        {"idle_cpu_pct", Fixed(r.idle_cpu_pct, 3)},
+                        {"wait_ms", Fixed(ToMillis(r.t_wait), 2)},
+                        {"sweep_ms", Fixed(ToMillis(r.t_sweep), 2)},
+                        {"loop_ms", Fixed(ToMillis(r.t_loop), 2)},
+                        {"window_iterations", Num(r.window_iterations)},
+                        {"deterministic", identical ? "true" : "false"}});
 }
 
 }  // namespace
@@ -410,15 +351,10 @@ void AppendJson(std::ostringstream& out, const std::string& label,
 int main(int argc, char** argv) {
   using namespace scio;
 
-  bool quick = false;
-  std::string json_path = "BENCH_million_idle.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
+  const gate::Flags flags =
+      gate::ParseFlags(argc, argv, gate::Accept::kQuickAndJson,
+                       "BENCH_million_idle.json");
+  const bool quick = flags.quick;
 
   std::vector<size_t> points = {10'000, 100'000};
   if (!quick) {
@@ -443,19 +379,17 @@ int main(int argc, char** argv) {
                "int_b", "tp_b", "idle_cpu_pct", "wait_ms", "sweep_ms",
                "loop_ms", "iters", "verdict"});
 
-  int failures = 0;
-  std::ostringstream json;
-  json << "{\n  \"gate_bytes_per_conn\": " << kBytesPerConnGate
-       << ",\n  \"results\": [\n";
-  bool first_row = true;
+  gate::Tally tally;
+  gate::JsonReport json;
+  json.lead = {{"gate_bytes_per_conn", gate::Num(kBytesPerConnGate)}};
 
   for (const Leg& leg : legs) {
     const std::string label =
         ServerKindName(leg.kind) + (leg.with_transport ? "+tp" : "");
     for (size_t n : points) {
-      const PointResult a = RunPoint(leg.kind, n, leg.with_transport);
-      const PointResult b = RunPoint(leg.kind, n, leg.with_transport);
-      const bool identical = a.signature == b.signature;
+      PointResult a;
+      const bool identical = gate::RunsIdentical(
+          [&] { return RunPoint(leg.kind, n, leg.with_transport); }, &a);
 
       bool ok = true;
       std::string verdict = "ok";
@@ -481,35 +415,27 @@ int main(int argc, char** argv) {
         ok = false;
         verdict = "FAIL(determinism)";
       }
-      if (!ok) {
-        ++failures;
-      }
+      tally.Check(ok);
 
       table.AddRow({label, std::to_string(a.target), std::to_string(a.open),
-                    Fixed(a.bytes_per_conn, 1), Fixed(a.rss_bytes_per_conn, 1),
+                    gate::Fixed(a.bytes_per_conn, 1), gate::Fixed(a.rss_bytes_per_conn, 1),
                     std::to_string(a.fd_bytes),
                     std::to_string(a.conn_bytes),
                     std::to_string(a.interest_bytes),
-                    std::to_string(a.transport_bytes), Fixed(a.idle_cpu_pct, 3),
-                    Fixed(ToMillis(a.t_wait), 2), Fixed(ToMillis(a.t_sweep), 2),
-                    Fixed(ToMillis(a.t_loop), 2),
+                    std::to_string(a.transport_bytes), gate::Fixed(a.idle_cpu_pct, 3),
+                    gate::Fixed(ToMillis(a.t_wait), 2), gate::Fixed(ToMillis(a.t_sweep), 2),
+                    gate::Fixed(ToMillis(a.t_loop), 2),
                     std::to_string(a.window_iterations), verdict});
-      AppendJson(json, label, a, identical, &first_row);
+      json.results.push_back(ToJson(label, a, identical));
       std::cout << label << " @ " << n << ": " << verdict << "\n";
     }
   }
 
-  json << "\n  ],\n  \"failures\": " << failures << "\n}\n";
+  json.trail = {{"failures", gate::Num(tally.failures())}};
   std::cout << "\n";
   table.Print(std::cout);
   table.WriteCsvFile("million_idle.csv");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << json.str();
-  }
-  std::cout << "\nwrote million_idle.csv, " << json_path << "\n";
-  if (failures != 0) {
-    std::cout << failures << " gate failure(s)\n";
-  }
-  return failures;
+  json.Write(flags.json);
+  std::cout << "\nwrote million_idle.csv, " << flags.json << "\n";
+  return tally.Finish();
 }

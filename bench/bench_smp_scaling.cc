@@ -12,19 +12,17 @@
 //     reply rate as workers/CPUs grow. One CPU saturates; sharded N-CPU
 //     pools should scale near-linearly until the load is absorbed.
 //
-// Every configuration runs twice with the same seed; any signature mismatch
-// is a determinism failure and the bench exits non-zero.
+// Every configuration runs twice with the same seed; any run Signature()
+// mismatch is a determinism failure and the bench exits non-zero.
 //
 // Usage: bench_smp_scaling [--quick] [--json=FILE]
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/load/smp_benchmark_run.h"
 
 namespace scio {
@@ -71,17 +69,15 @@ SmpBenchmarkConfig ScalingConfig(ServerKind server, ListenerMode mode, int n,
   return config;
 }
 
-// Runs the configuration twice; aborts the bench on a signature mismatch.
-SmpBenchmarkResult RunChecked(const SmpBenchmarkConfig& config, int* failures) {
+// Runs the configuration twice; a signature mismatch fails the bench.
+SmpBenchmarkResult RunChecked(const SmpBenchmarkConfig& config, gate::Tally* tally) {
   std::cerr << "running " << ServerKindName(config.server) << " "
             << ListenerModeName(config.mode) << " n=" << config.workers << " ...\n";
-  const SmpBenchmarkResult first = RunSmpBenchmark(config);
-  const SmpBenchmarkResult second = RunSmpBenchmark(config);
-  if (first.signature != second.signature) {
+  SmpBenchmarkResult first;
+  if (!tally->Check(gate::RunsIdentical([&] { return RunSmpBenchmark(config); }, &first))) {
     std::cerr << "DETERMINISM FAILURE: " << ListenerModeName(config.mode) << " n="
               << config.workers << " " << ServerKindName(config.server)
               << ": double runs diverged\n";
-    ++*failures;
   }
   return first;
 }
@@ -102,24 +98,23 @@ void PrintTable(const char* title, const std::vector<Row>& rows) {
   }
 }
 
-void AppendJson(std::ostringstream& out, const char* phase, const Row& row,
-                bool* first) {
-  if (!*first) {
-    out << ",\n";
-  }
-  *first = false;
-  out.precision(17);
-  out << "    {\"phase\": \"" << phase << "\", \"server\": \"" << row.server
-      << "\", \"mode\": \"" << row.r.mode << "\", \"workers\": " << row.r.workers
-      << ", \"cpus\": " << row.r.cpus << ", \"reply_avg\": " << row.r.reply_avg
-      << ", \"error_pct\": " << row.r.error_pct
-      << ", \"total_accepted\": " << row.r.total_accepted
-      << ", \"listener_syn_wakeups\": " << row.r.listener_syn_wakeups
-      << ", \"wakeups_per_accept\": " << row.r.wakeups_per_accept
-      << ", \"context_switches\": " << row.r.context_switches
-      << ", \"exclusive_adds\": " << row.r.exclusive_adds
-      << ", \"cpu_utilization\": " << row.r.cpu_utilization
-      << ", \"median_conn_ms\": " << row.r.median_conn_ms << "}";
+std::string ToJson(const char* phase, const Row& row) {
+  using gate::Num;
+  using gate::Quote;
+  return gate::JsonRow({{"phase", Quote(phase)},
+                        {"server", Quote(row.server)},
+                        {"mode", Quote(row.r.mode)},
+                        {"workers", Num(row.r.workers)},
+                        {"cpus", Num(row.r.cpus)},
+                        {"reply_avg", Num(row.r.reply_avg)},
+                        {"error_pct", Num(row.r.error_pct)},
+                        {"total_accepted", Num(row.r.total_accepted)},
+                        {"listener_syn_wakeups", Num(row.r.listener_syn_wakeups)},
+                        {"wakeups_per_accept", Num(row.r.wakeups_per_accept)},
+                        {"context_switches", Num(row.r.context_switches)},
+                        {"exclusive_adds", Num(row.r.exclusive_adds)},
+                        {"cpu_utilization", Num(row.r.cpu_utilization)},
+                        {"median_conn_ms", Num(row.r.median_conn_ms)}});
 }
 
 }  // namespace
@@ -128,15 +123,8 @@ void AppendJson(std::ostringstream& out, const char* phase, const Row& row,
 int main(int argc, char** argv) {
   using namespace scio;
 
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
+  const gate::Flags flags = gate::ParseFlags(argc, argv, gate::Accept::kQuickAndJson);
+  const bool quick = flags.quick;
 
   const std::vector<ServerKind> servers = {ServerKind::kThttpdDevPoll,
                                            ServerKind::kPhhttpd};
@@ -146,50 +134,34 @@ int main(int argc, char** argv) {
   const std::vector<int> sizes = quick ? std::vector<int>{1, 4}
                                        : std::vector<int>{1, 2, 4, 8};
 
-  int failures = 0;
-  std::ostringstream json;
-  json << "{\n  \"results\": [\n";
-  bool first_row = true;
+  gate::Tally tally;
+  gate::JsonReport json;
 
-  std::vector<Row> herd_rows;
-  for (ServerKind server : servers) {
-    for (ListenerMode mode : modes) {
-      for (int n : sizes) {
-        const SmpBenchmarkResult r =
-            RunChecked(HerdConfig(server, mode, n, quick), &failures);
-        if (!r.setup_ok) {
-          std::cerr << "setup failed: herd " << ListenerModeName(mode) << " n=" << n
-                    << "\n";
-          ++failures;
-          continue;
+  // One phase: every (server, mode, n) cell, each run twice.
+  const auto run_phase = [&](const char* phase, auto make_config) {
+    std::vector<Row> rows;
+    for (ServerKind server : servers) {
+      for (ListenerMode mode : modes) {
+        for (int n : sizes) {
+          const SmpBenchmarkResult r = RunChecked(make_config(server, mode, n, quick), &tally);
+          if (!r.setup_ok) {
+            std::cerr << "setup failed: " << phase << " " << ListenerModeName(mode)
+                      << " n=" << n << "\n";
+            tally.Fail();
+            continue;
+          }
+          Row row{r, ServerKindName(server)};
+          json.results.push_back(ToJson(phase, row));
+          rows.push_back(std::move(row));
         }
-        Row row{r, ServerKindName(server)};
-        AppendJson(json, "herd", row, &first_row);
-        herd_rows.push_back(std::move(row));
       }
     }
-  }
+    return rows;
+  };
+  const std::vector<Row> herd_rows = run_phase("herd", HerdConfig);
   PrintTable("== Herd ablation: light load, 501 inactive, workers sleeping ==",
              herd_rows);
-
-  std::vector<Row> scaling_rows;
-  for (ServerKind server : servers) {
-    for (ListenerMode mode : modes) {
-      for (int n : sizes) {
-        const SmpBenchmarkResult r =
-            RunChecked(ScalingConfig(server, mode, n, quick), &failures);
-        if (!r.setup_ok) {
-          std::cerr << "setup failed: scaling " << ListenerModeName(mode) << " n=" << n
-                    << "\n";
-          ++failures;
-          continue;
-        }
-        Row row{r, ServerKindName(server)};
-        AppendJson(json, "scaling", row, &first_row);
-        scaling_rows.push_back(std::move(row));
-      }
-    }
-  }
+  const std::vector<Row> scaling_rows = run_phase("scaling", ScalingConfig);
   PrintTable("== Scaling sweep: 4500 conn/s offered, gigabit link ==", scaling_rows);
 
   // --- acceptance checks -------------------------------------------------------
@@ -211,7 +183,7 @@ int main(int argc, char** argv) {
     const Row* one_big = find(herd_rows, server, "shared-wake-one", big);
     if (herd_big == nullptr || herd_one == nullptr || one_big == nullptr) {
       std::cerr << "CHECK SKIPPED (missing rows): " << server << "\n";
-      ++failures;
+      tally.Fail();
       continue;
     }
     if (herd_big->r.wakeups_per_accept <= 1.0 ||
@@ -220,38 +192,31 @@ int main(int argc, char** argv) {
                 << " wake-all herd did not grow with N (n=" << big << ": "
                 << herd_big->r.wakeups_per_accept << ", n=1: "
                 << herd_one->r.wakeups_per_accept << ")\n";
-      ++failures;
+      tally.Fail();
     }
     if (one_big->r.wakeups_per_accept > 1.5) {
       std::cerr << "CHECK FAILED: " << server << " wake-one wakeups/accept = "
                 << one_big->r.wakeups_per_accept << " (expected ~1)\n";
-      ++failures;
+      tally.Fail();
     }
     const Row* sharded1 = find(scaling_rows, server, "sharded", 1);
     const Row* sharded4 = find(scaling_rows, server, "sharded", 4);
     if (sharded1 == nullptr || sharded4 == nullptr) {
       std::cerr << "CHECK SKIPPED (missing scaling rows): " << server << "\n";
-      ++failures;
+      tally.Fail();
       continue;
     }
     if (sharded4->r.reply_avg < 3.0 * sharded1->r.reply_avg) {
       std::cerr << "CHECK FAILED: " << server << " sharded 4-CPU reply rate "
                 << sharded4->r.reply_avg << " < 3x 1-CPU " << sharded1->r.reply_avg
                 << "\n";
-      ++failures;
+      tally.Fail();
     }
   }
 
-  json << "\n  ],\n  \"determinism_failures\": " << failures << "\n}\n";
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << json.str();
+  if (!flags.json.empty()) {
+    json.trail = {{"determinism_failures", gate::Num(tally.failures())}};
+    json.Write(flags.json);
   }
-
-  if (failures != 0) {
-    std::printf("\n%d check(s) FAILED\n", failures);
-    return 1;
-  }
-  std::printf("\nall determinism + scaling checks passed\n");
-  return 0;
+  return tally.Finish();
 }

@@ -7,14 +7,15 @@
 // first bucket back at >= 90% of that baseline. A schedule fails if a server
 // never recovers inside the bounded post-fault window. The whole sweep is
 // seeded, and a final double-run check proves the fault plane is
-// deterministic: identical seed + schedule must reproduce identical metrics.
+// deterministic: identical seed + schedule must reproduce an identical run
+// Signature(). The bench takes no flags.
 
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/load/benchmark_run.h"
 #include "src/metrics/table.h"
 
@@ -174,39 +175,17 @@ Recovery MeasureRecovery(const std::vector<double>& series, SimTime fault_end) {
   return r;
 }
 
-// Everything that must be bit-identical across two runs of the same seed.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors << '|'
-      << result.client_retries << '|' << result.abusive_aborts << '|'
-      << result.slowloris_reconnects << '|' << result.kernel_stats.syscalls << '|'
-      << result.server_stats.connections_accepted << '|'
-      << result.server_stats.eintr_returns << '|'
-      << result.server_stats.accepts_throttled << '|';
-  for (const auto& [name, value] : result.fault_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  // The per-category virtual-CPU ledger is part of the signature: same seed
-  // must spend every nanosecond in the same place, not just reach the same
-  // totals.
-  out << result.attribution.Signature() << '|' << result.busy_time << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
-}
-
 }  // namespace
 }  // namespace scio
 
-int main() {
+int main(int argc, char** argv) {
   using namespace scio;
+  gate::ParseFlags(argc, argv, gate::Accept::kNothing);
 
   const std::vector<ServerKind> servers = {ServerKind::kThttpdPoll,
                                            ServerKind::kThttpdDevPoll,
                                            ServerKind::kPhhttpd, ServerKind::kHybrid};
-  int failures = 0;
+  gate::Tally tally;
 
   std::cout << "=== torture: fault schedules vs recovery time ===\n\n";
   Table table({"schedule", "server", "baseline_rps", "fault_min_rps", "recovery_s",
@@ -218,7 +197,7 @@ int main() {
       if (!result.setup_ok) {
         table.AddRow({torture.name, ServerKindName(server), "-", "-", "-", "-",
                       "FAIL(setup)"});
-        ++failures;
+        tally.Fail();
         continue;
       }
       const Recovery recovery = MeasureRecovery(result.reply_series, torture.fault_end);
@@ -239,20 +218,11 @@ int main() {
           verdict = "FAIL(stuck-in-poll)";
         }
       }
-      if (!ok) {
-        ++failures;
-      }
-
-      std::ostringstream recovery_text;
-      recovery_text << (recovery.ok ? std::to_string(static_cast<int>(recovery.recovery_s))
-                                    : std::string("never"));
-      std::ostringstream baseline_text, fault_min_text;
-      baseline_text.precision(1);
-      baseline_text << std::fixed << recovery.baseline;
-      fault_min_text.precision(1);
-      fault_min_text << std::fixed << recovery.fault_min;
-      table.AddRow({torture.name, ServerKindName(server), baseline_text.str(),
-                    fault_min_text.str(), recovery_text.str(),
+      tally.Check(ok);
+      table.AddRow({torture.name, ServerKindName(server), gate::Fixed(recovery.baseline, 1),
+                    gate::Fixed(recovery.fault_min, 1),
+                    recovery.ok ? std::to_string(static_cast<int>(recovery.recovery_s))
+                                : std::string("never"),
                     std::to_string(injected), verdict});
     }
   }
@@ -263,14 +233,10 @@ int main() {
   {
     const TortureCase repro = BuildCases().front();  // pkt-loss, RNG-heaviest
     for (ServerKind server : servers) {
-      const std::string first = MetricsSignature(RunBenchmark(MakeConfig(repro, server)));
-      const std::string second = MetricsSignature(RunBenchmark(MakeConfig(repro, server)));
-      const bool identical = first == second;
+      const bool identical = tally.Check(
+          gate::RunsIdentical([&] { return RunBenchmark(MakeConfig(repro, server)); }));
       std::cout << "  " << ServerKindName(server) << ": "
                 << (identical ? "identical" : "DIVERGED") << "\n";
-      if (!identical) {
-        ++failures;
-      }
     }
   }
 
@@ -288,18 +254,14 @@ int main() {
       const BenchmarkResult traced = RunBenchmark(cfg);
       const bool invariant = bare.attribution.Sum() == bare.busy_time &&
                              traced.attribution.Sum() == traced.busy_time;
-      const bool observer = MetricsSignature(bare) == MetricsSignature(traced);
+      const bool observer = Signature(bare) == Signature(traced);
       std::cout << "  " << ServerKindName(server) << ": invariant "
                 << (invariant ? "holds" : "VIOLATED") << ", recorder "
                 << (observer ? "transparent" : "PERTURBED RUN") << " ("
                 << recorder.total_recorded() << " events)\n";
-      if (!invariant || !observer) {
-        ++failures;
-      }
+      tally.Check(invariant && observer);
     }
   }
 
-  std::cout << "\n" << (failures == 0 ? "ALL PASS" : "FAILURES: " + std::to_string(failures))
-            << std::endl;
-  return failures == 0 ? 0 : 1;
+  return tally.Finish();
 }

@@ -14,19 +14,17 @@
 //     same drop script for both stacks);
 //   - flash crowd: a burst at ~4x the paper's saturation rate with the plane
 //     attached, then a double-run determinism check — same seed, identical
-//     metrics and transport counters, bit for bit.
+//     run Signature() (transport counters included), bit for bit.
 //
 // CSVs (cwd): transport_matrix.csv (with the full t_<category> virtual-CPU
 // breakdown), transport_recovery.csv, transport_flash.csv. --quick trims
 // durations and the matrix for CI smoke; gates stay on.
 
-#include <cstring>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/core/sys.h"
 #include "src/load/benchmark_run.h"
 #include "src/metrics/table.h"
@@ -158,31 +156,6 @@ double TransferGoodputMbps(const Scenario& scenario,
          (result.median_conn_ms / 1000.0) / 1e6;
 }
 
-std::string Fmt(double v, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
-}
-
-// Everything that must be bit-identical across two runs of the same seed —
-// the torture signature plus the transport plane's own counters.
-std::string MetricsSignature(const BenchmarkResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.attempts << '|' << result.successes << '|' << result.errors
-      << '|' << result.client_retries << '|' << result.kernel_stats.syscalls
-      << '|' << result.server_stats.connections_accepted << '|';
-  for (const auto& [name, value] : result.fault_stats.ToRows()) {
-    out << name << '=' << value << ';';
-  }
-  out << result.attribution.Signature() << '|' << result.busy_time << '|'
-      << result.transport_stats.Signature() << '|';
-  for (double rate : result.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
-}
-
 // --- recovery microbench -----------------------------------------------------
 
 // A socket-level world (no HTTP, no generator): one established connection,
@@ -297,17 +270,13 @@ RecoveryOutcome RunRecoveryTrial(const RecoveryTrial& trial, CcKind cc) {
 
 int main(int argc, char** argv) {
   using namespace scio;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    }
-  }
+  quick = gate::ParseFlags(argc, argv).quick;
 
   const std::vector<CcKind> stacks = {CcKind::kReno, CcKind::kRack,
                                       CcKind::kBbr};
   const std::vector<ServerKind> servers = {ServerKind::kThttpdEpoll,
                                            ServerKind::kPhhttpdKqueue};
-  int failures = 0;
+  gate::Tally tally;
 
   // --- section 1: the full matrix -------------------------------------------
   std::cout << "=== transport: {Reno,RACK,BBR} x {clean,loss1,longfat,flap}"
@@ -363,9 +332,7 @@ int main(int argc, char** argv) {
           ok = false;
           verdict = "FAIL(no-retx-charge)";
         }
-        if (!ok) {
-          ++failures;
-        }
+        tally.Check(ok);
 
         if (scenario.longfat_gate) {
           const std::string sname = ServerKindName(server);
@@ -380,18 +347,18 @@ int main(int argc, char** argv) {
         }
 
         table.AddRow({scenario.name, CcKindName(cc), ServerKindName(server),
-                      Fmt(result.reply_avg, 1), Fmt(result.error_pct, 1),
-                      Fmt(result.median_conn_ms, 1), Fmt(xfer_mbps, 2),
+                      gate::Fixed(result.reply_avg, 1), gate::Fixed(result.error_pct, 1),
+                      gate::Fixed(result.median_conn_ms, 1), gate::Fixed(xfer_mbps, 2),
                       std::to_string(tp.segments_retransmitted), verdict});
         std::vector<std::string> row = {
             scenario.name,
             CcKindName(cc),
             ServerKindName(server),
-            Fmt(result.reply_avg, 1),
-            Fmt(result.error_pct, 1),
-            Fmt(result.median_conn_ms, 1),
-            Fmt(xfer_mbps, 2),
-            Fmt(agg_mbps, 2),
+            gate::Fixed(result.reply_avg, 1),
+            gate::Fixed(result.error_pct, 1),
+            gate::Fixed(result.median_conn_ms, 1),
+            gate::Fixed(xfer_mbps, 2),
+            gate::Fixed(agg_mbps, 2),
             std::to_string(tp.segments_sent),
             std::to_string(tp.segments_retransmitted),
             std::to_string(tp.fast_retransmit_entries),
@@ -401,7 +368,7 @@ int main(int argc, char** argv) {
             std::to_string(tp.acks_received)};
         for (size_t i = 0; i < kChargeCatCount; ++i) {
           row.push_back(
-              Fmt(ToMillis(result.attribution[static_cast<ChargeCat>(i)]), 3));
+              gate::Fixed(ToMillis(result.attribution[static_cast<ChargeCat>(i)]), 3));
         }
         csv_table.AddRow(std::move(row));
       }
@@ -416,14 +383,11 @@ int main(int argc, char** argv) {
   for (const auto& [server_name, lf] : longfat) {
     const double reno = lf.mbps[static_cast<int>(CcKind::kReno)];
     const double bbr = lf.mbps[static_cast<int>(CcKind::kBbr)];
-    const bool ok = reno > 0 && bbr >= 2.0 * reno;
-    std::cout << "  " << server_name << ": reno " << Fmt(reno, 2)
-              << " Mbit/s, bbr " << Fmt(bbr, 2) << " Mbit/s ("
-              << Fmt(reno > 0 ? bbr / reno : 0, 1) << "x) "
+    const bool ok = tally.Check(reno > 0 && bbr >= 2.0 * reno);
+    std::cout << "  " << server_name << ": reno " << gate::Fixed(reno, 2)
+              << " Mbit/s, bbr " << gate::Fixed(bbr, 2) << " Mbit/s ("
+              << gate::Fixed(reno > 0 ? bbr / reno : 0, 1) << "x) "
               << (ok ? "PASS" : "FAIL(bbr < 2x reno)") << "\n";
-    if (!ok) {
-      ++failures;
-    }
   }
 
   // --- section 3: tail-loss recovery, RACK vs Reno ---------------------------
@@ -469,11 +433,9 @@ int main(int argc, char** argv) {
           verdict = "FAIL(not-faster)";
         }
       }
-      if (!ok) {
-        ++failures;
-      }
+      tally.Check(ok);
       recovery_table.AddRow({trial.name, CcKindName(cc),
-                             Fmt(out.completion_ms, 2),
+                             gate::Fixed(out.completion_ms, 2),
                              std::to_string(out.tlp_probes),
                              std::to_string(out.rto_fires),
                              std::to_string(out.fast_retransmits), verdict});
@@ -495,17 +457,14 @@ int main(int argc, char** argv) {
     flash.duration = quick ? Seconds(2) : Seconds(3);
     BenchmarkRunConfig cfg = MakeConfig(flash, cc, ServerKind::kThttpdEpoll);
     cfg.inactive.connections = 2000;  // the crowd arrives over idle ballast
-    const BenchmarkResult first = RunBenchmark(cfg);
-    const BenchmarkResult second = RunBenchmark(cfg);
-    const bool identical = MetricsSignature(first) == MetricsSignature(second);
-    bool ok = first.setup_ok && first.successes > 0 &&
-              first.attribution.Sum() == first.busy_time && identical;
-    if (!ok) {
-      ++failures;
-    }
+    BenchmarkResult first;
+    const bool identical =
+        gate::RunsIdentical([&] { return RunBenchmark(cfg); }, &first);
+    const bool ok = tally.Check(first.setup_ok && first.successes > 0 &&
+                                first.attribution.Sum() == first.busy_time && identical);
     flash_table.AddRow(
-        {CcKindName(cc), Fmt(first.reply_avg, 1), Fmt(first.error_pct, 1),
-         Fmt(first.median_conn_ms, 1),
+        {CcKindName(cc), gate::Fixed(first.reply_avg, 1), gate::Fixed(first.error_pct, 1),
+         gate::Fixed(first.median_conn_ms, 1),
          std::to_string(first.transport_stats.segments_sent),
          std::to_string(first.transport_stats.segments_retransmitted),
          identical ? "identical" : "DIVERGED", ok ? "PASS" : "FAIL"});
@@ -522,20 +481,12 @@ int main(int argc, char** argv) {
     }
     for (ServerKind server : servers) {
       const BenchmarkRunConfig cfg = MakeConfig(scenario, CcKind::kBbr, server);
-      const std::string a = MetricsSignature(RunBenchmark(cfg));
-      const std::string b = MetricsSignature(RunBenchmark(cfg));
-      const bool identical = a == b;
+      const bool identical =
+          tally.Check(gate::RunsIdentical([&] { return RunBenchmark(cfg); }));
       std::cout << "  longfat/bbr/" << ServerKindName(server) << ": "
                 << (identical ? "identical" : "DIVERGED") << "\n";
-      if (!identical) {
-        ++failures;
-      }
     }
   }
 
-  std::cout << "\n"
-            << (failures == 0 ? "ALL PASS"
-                              : "FAILURES: " + std::to_string(failures))
-            << std::endl;
-  return failures == 0 ? 0 : 1;
+  return tally.Finish();
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/load/benchmark_run.h"
 
 namespace scio {
@@ -31,8 +32,20 @@ struct FigureSweepConfig {
 // the working directory. Returns the per-rate results.
 std::vector<BenchmarkResult> RunFigureSweep(const FigureSweepConfig& config);
 
-// Parse "--rates=500,700" / "--duration=5" / "--quick" style overrides.
-void ApplyCommandLine(int argc, char** argv, FigureSweepConfig* config);
+// The run config for one sweep point at `rate`: seeds derive from
+// config.seed and the rate, so every server at a given (load, rate) faces
+// the identical arrival sequence.
+BenchmarkRunConfig SweepPointConfig(const FigureSweepConfig& config, double rate);
+
+// The sweep CSV: rate, reply-rate summary and latency columns, then the
+// per-category virtual-CPU breakdown in milliseconds.
+std::vector<std::string> SweepCsvHeaders();
+std::vector<std::string> SweepCsvCells(double rate, const BenchmarkResult& result);
+
+// Parse "--rates=500,700" / "--duration=5" / "--inactive=N" / "--seed=N" /
+// "--quick" overrides; explicit values win over --quick's. An unknown or
+// malformed flag exits with status 2.
+gate::Flags ApplyCommandLine(int argc, char** argv, FigureSweepConfig* config);
 
 }  // namespace scio
 

@@ -1,6 +1,8 @@
 #include "src/load/benchmark_run.h"
 
 #include <memory>
+#include <sstream>
+#include <string_view>
 
 #include "src/load/abusive_clients.h"
 #include "src/load/httperf.h"
@@ -28,6 +30,101 @@ std::string ServerKindName(ServerKind kind) {
       return "phhttpd-kqueue";
   }
   return "unknown";
+}
+
+std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys* sys,
+                                           const StaticContent* content, bool* setup_ok) {
+  std::unique_ptr<HttpServerBase> server;
+  switch (config.server) {
+    case ServerKind::kThttpdPoll:
+      server = std::make_unique<ThttpdPoll>(sys, content, config.server_config,
+                                            config.poll_options);
+      *setup_ok = server->Setup() >= 0;
+      break;
+    case ServerKind::kThttpdDevPoll: {
+      auto s = std::make_unique<ThttpdDevPoll>(sys, content, config.server_config,
+                                               config.devpoll_config);
+      *setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
+      server = std::move(s);
+      break;
+    }
+    case ServerKind::kPhhttpd: {
+      auto s = std::make_unique<Phhttpd>(sys, content, config.server_config,
+                                         config.phhttpd_config);
+      *setup_ok = s->Setup() >= 0;
+      if (*setup_ok) {
+        s->SetupSignals();
+      }
+      server = std::move(s);
+      break;
+    }
+    case ServerKind::kHybrid: {
+      auto s = std::make_unique<HybridServer>(sys, content, config.server_config,
+                                              config.devpoll_config, config.hybrid_config);
+      *setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
+      if (*setup_ok) {
+        s->SetupHybrid();
+      }
+      server = std::move(s);
+      break;
+    }
+    case ServerKind::kThttpdEpoll:
+    case ServerKind::kThttpdEpollEt: {
+      ThttpdEpollConfig ep = config.epoll_config;
+      ep.edge_triggered =
+          config.server == ServerKind::kThttpdEpollEt || ep.edge_triggered;
+      auto s = std::make_unique<ThttpdEpoll>(sys, content, config.server_config, ep);
+      *setup_ok = s->Setup() >= 0 && s->SetupEpoll() >= 0;
+      server = std::move(s);
+      break;
+    }
+    case ServerKind::kPhhttpdKqueue: {
+      auto s = std::make_unique<PhhttpdKqueue>(sys, content, config.server_config,
+                                               config.kqueue_config);
+      *setup_ok = s->Setup() >= 0 && s->SetupKqueue() >= 0;
+      server = std::move(s);
+      break;
+    }
+  }
+  return server;
+}
+
+void ReduceConnRecords(const std::deque<ConnRecord>& records, SimTime warmup,
+                       SimDuration duration, SimDuration sample_width,
+                       BenchmarkResult* result) {
+  PercentileTracker conn_times;
+  conn_times.Reserve(records.size());
+  // Only samples inside the generation window count (the drain tail would
+  // drag the average down even for a perfect server).
+  RateSeries window(sample_width, duration);
+  for (const ConnRecord& record : records) {
+    ++result->attempts;
+    switch (record.outcome) {
+      case ConnOutcome::kOk:
+        ++result->successes;
+        window.Add(record.end - warmup);
+        conn_times.Add(ToMillis(record.ConnTime()));
+        break;
+      case ConnOutcome::kPending:
+        ++result->pending;
+        break;
+      default:
+        ++result->errors;
+        break;
+    }
+  }
+  const StreamingStats rate_stats = window.Summary();
+  result->reply_series = window.Rates();
+  result->reply_avg = rate_stats.mean();
+  result->reply_min = rate_stats.min();
+  result->reply_max = rate_stats.max();
+  result->reply_stddev = rate_stats.stddev();
+  const uint64_t resolved = result->successes + result->errors;
+  result->error_pct = resolved == 0 ? 0.0
+                                    : 100.0 * static_cast<double>(result->errors) /
+                                          static_cast<double>(resolved);
+  result->median_conn_ms = conn_times.Median();
+  result->p90_conn_ms = conn_times.Percentile(90.0);
 }
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
@@ -67,58 +164,7 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   content.AddDocument("/index.html", config.document_bytes);
 
   bool setup_ok = true;
-  std::unique_ptr<HttpServerBase> server;
-  switch (config.server) {
-    case ServerKind::kThttpdPoll:
-      server = std::make_unique<ThttpdPoll>(&sys, &content, config.server_config,
-                                            config.poll_options);
-      setup_ok = server->Setup() >= 0;
-      break;
-    case ServerKind::kThttpdDevPoll: {
-      auto s = std::make_unique<ThttpdDevPoll>(&sys, &content, config.server_config,
-                                               config.devpoll_config);
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpd: {
-      auto s = std::make_unique<Phhttpd>(&sys, &content, config.server_config,
-                                         config.phhttpd_config);
-      setup_ok = s->Setup() >= 0;
-      if (setup_ok) {
-        s->SetupSignals();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kHybrid: {
-      auto s = std::make_unique<HybridServer>(&sys, &content, config.server_config,
-                                              config.devpoll_config, config.hybrid_config);
-      setup_ok = s->Setup() >= 0 && s->SetupDevPoll() >= 0;
-      if (setup_ok) {
-        s->SetupHybrid();
-      }
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kThttpdEpoll:
-    case ServerKind::kThttpdEpollEt: {
-      ThttpdEpollConfig ep = config.epoll_config;
-      ep.edge_triggered =
-          config.server == ServerKind::kThttpdEpollEt || ep.edge_triggered;
-      auto s = std::make_unique<ThttpdEpoll>(&sys, &content, config.server_config, ep);
-      setup_ok = s->Setup() >= 0 && s->SetupEpoll() >= 0;
-      server = std::move(s);
-      break;
-    }
-    case ServerKind::kPhhttpdKqueue: {
-      auto s = std::make_unique<PhhttpdKqueue>(&sys, &content, config.server_config,
-                                               config.kqueue_config);
-      setup_ok = s->Setup() >= 0 && s->SetupKqueue() >= 0;
-      server = std::move(s);
-      break;
-    }
-  }
+  std::unique_ptr<HttpServerBase> server = MakeServer(config, &sys, &content, &setup_ok);
   if (!setup_ok) {
     BenchmarkResult failed;
     failed.setup_ok = false;
@@ -163,45 +209,8 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
   result.target_rate = config.active.request_rate;
   result.inactive = config.inactive.connections;
 
-  RateSeries replies(config.sample_width, config.active.duration + config.drain);
-  PercentileTracker conn_times;
-  conn_times.Reserve(generator.records().size());
-  for (const ConnRecord& record : generator.records()) {
-    ++result.attempts;
-    switch (record.outcome) {
-      case ConnOutcome::kOk:
-        ++result.successes;
-        replies.Add(record.end - config.warmup);
-        conn_times.Add(ToMillis(record.ConnTime()));
-        break;
-      case ConnOutcome::kPending:
-        ++result.pending;
-        break;
-      default:
-        ++result.errors;
-        break;
-    }
-  }
-  // Only samples inside the generation window count (the drain tail would
-  // drag the average down even for a perfect server).
-  RateSeries window(config.sample_width, config.active.duration);
-  for (const ConnRecord& record : generator.records()) {
-    if (record.outcome == ConnOutcome::kOk) {
-      window.Add(record.end - config.warmup);
-    }
-  }
-  const StreamingStats rate_stats = window.Summary();
-  result.reply_series = window.Rates();
-  result.reply_avg = rate_stats.mean();
-  result.reply_min = rate_stats.min();
-  result.reply_max = rate_stats.max();
-  result.reply_stddev = rate_stats.stddev();
-  const uint64_t resolved = result.successes + result.errors;
-  result.error_pct =
-      resolved == 0 ? 0.0
-                    : 100.0 * static_cast<double>(result.errors) / static_cast<double>(resolved);
-  result.median_conn_ms = conn_times.Median();
-  result.p90_conn_ms = conn_times.Percentile(90.0);
+  ReduceConnRecords(generator.records(), config.warmup, config.active.duration,
+                    config.sample_width, &result);
 
   result.kernel_stats = kernel.stats();
   result.server_stats = server->stats();
@@ -235,11 +244,78 @@ BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config) {
     result.transport_stats = transport->stats();
   }
   result.syn_backlog_peak = listener->syn_backlog_peak();
+  result.mem = kernel.mem();
 
   // `sim` outlives `net` on unwind; drop undelivered events (which hold
   // sockets that release ports on destruction) while the stack is alive.
   sim.DiscardPending();
   return result;
+}
+
+std::string Signature(const BenchmarkResult& r) {
+  std::ostringstream out;
+  out.precision(17);
+  const auto row = [&out](std::string_view name, const auto& value) {
+    out << name << '=' << value << ';';
+  };
+  const auto rows = [&row](const auto& table) {
+    for (const auto& [name, value] : table) {
+      row(name, value);
+    }
+  };
+  const auto series = [&out](std::string_view name, const auto& values) {
+    out << name << '=';
+    for (const auto& v : values) {
+      out << v << ',';
+    }
+    out << ';';
+  };
+
+  row("target_rate", r.target_rate);
+  row("inactive", r.inactive);
+  row("reply_avg", r.reply_avg);
+  row("reply_min", r.reply_min);
+  row("reply_max", r.reply_max);
+  row("reply_stddev", r.reply_stddev);
+  row("attempts", r.attempts);
+  row("successes", r.successes);
+  row("errors", r.errors);
+  row("pending", r.pending);
+  row("error_pct", r.error_pct);
+  row("median_conn_ms", r.median_conn_ms);
+  row("p90_conn_ms", r.p90_conn_ms);
+  row("busy_time", r.busy_time);
+  row("inactive_reconnects", r.inactive_reconnects);
+  row("trickle_bytes", r.trickle_bytes);
+  row("phhttpd_fell_back_to_poll", r.phhttpd_fell_back_to_poll);
+  row("hybrid_mode_switches", r.hybrid_mode_switches);
+  row("cpu_utilization", r.cpu_utilization);
+  row("rt_queue_peak", r.rt_queue_peak);
+  row("client_retries", r.client_retries);
+  row("abusive_aborts", r.abusive_aborts);
+  row("slowloris_reconnects", r.slowloris_reconnects);
+  row("hybrid_in_signal_mode", r.hybrid_in_signal_mode);
+  row("setup_ok", r.setup_ok);
+  row("syn_backlog_peak", r.syn_backlog_peak);
+
+  rows(r.kernel_stats.ToRows());
+  rows(r.server_stats.ToRows());
+  for (const ServerStats& worker : r.worker_stats) {
+    out << "worker:";
+    rows(worker.ToRows());
+  }
+  rows(r.fault_stats.ToRows());
+  rows(r.attack_stats.ToRows());
+  rows(r.chain_stats.ToRows());
+  rows(r.defense_stats.ToRows());
+  rows(r.transport_stats.ToRows());
+  out << "cpu:";
+  rows(r.attribution.ToRows());
+  out << "mem:";
+  rows(r.mem.ToRows());
+  series("cpu_busy", r.cpu_busy);
+  series("reply_series", r.reply_series);
+  return out.str();
 }
 
 }  // namespace scio

@@ -5,10 +5,16 @@
 // quantities the paper plots: average/min/max/stddev reply rate over
 // periodic samples (FIGS 4-9, 11-13), error percentage (FIG 10), and median
 // connection time (FIG 14).
+//
+// The BenchmarkResult is also the run's whole observable state: Signature()
+// digests every field of it, so two runs are identical exactly when their
+// signatures are, and a determinism gate covers all state by construction.
 
 #ifndef SRC_LOAD_BENCHMARK_RUN_H_
 #define SRC_LOAD_BENCHMARK_RUN_H_
 
+#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "src/servers/thttpd_epoll.h"
 #include "src/servers/thttpd_poll.h"
 #include "src/trace/flight_recorder.h"
+#include "src/trace/mem_ledger.h"
 #include "src/trace/time_attribution.h"
 #include "src/transport/transport_plane.h"
 
@@ -157,9 +164,37 @@ struct BenchmarkResult {
 
   // Transport-plane observability (all zero when the plane is off).
   TransportStats transport_stats;
+
+  // The kernel's memory ledger as the run ended.
+  MemLedger mem;
+
+  // Multi-worker (SMP) runs only, empty otherwise: one ServerStats per worker
+  // (server_stats then stays zero) and each CPU's attributed busy time.
+  std::vector<ServerStats> worker_stats;
+  std::vector<SimDuration> cpu_busy;
 };
 
 BenchmarkResult RunBenchmark(const BenchmarkRunConfig& config);
+
+// Builds the server `config.server` names on `sys` from the config's server
+// and event-core settings, and sets it up; *setup_ok is false when setup
+// failed (e.g. EMFILE).
+std::unique_ptr<HttpServerBase> MakeServer(const BenchmarkRunConfig& config, Sys* sys,
+                                           const StaticContent* content, bool* setup_ok);
+
+// Fills `result`'s reply-rate, error and latency fields from a generator's
+// connection records. Only replies inside the generation window
+// [warmup, warmup + duration) count toward the rate samples.
+void ReduceConnRecords(const std::deque<ConnRecord>& records, SimTime warmup,
+                       SimDuration duration, SimDuration sample_width,
+                       BenchmarkResult* result);
+
+// Stable text digest of every field of `result`: the scalar counts and
+// latencies, every stats surface's ToRows() (kernel, server and per-worker,
+// fault, attack, filter chain, defense, transport), the CPU-time and memory
+// ledgers, busy time, per-CPU busy time, and the reply-rate series. Same seed
+// must reproduce it byte for byte.
+std::string Signature(const BenchmarkResult& result);
 
 }  // namespace scio
 

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "src/load/httperf.h"
 #include "src/load/inactive_pool.h"
-#include "src/metrics/percentile.h"
-#include "src/metrics/rate_series.h"
 
 namespace scio {
 namespace {
@@ -38,33 +35,6 @@ ServerFactory MakeFactory(const SmpBenchmarkConfig& config, const StaticContent*
       }
     }
   };
-}
-
-std::string BuildSignature(const SmpBenchmarkResult& r) {
-  std::ostringstream out;
-  out.precision(17);
-  out << r.attempts << '|' << r.successes << '|' << r.errors << '|' << r.pending << '|'
-      << r.total_accepted << '|' << r.listener_syn_wakeups << '|' << r.context_switches
-      << '|' << r.exclusive_adds << '|' << r.kernel_stats.syscalls << '|';
-  for (const ServerStats& s : r.worker_stats) {
-    out << s.connections_accepted << ',' << s.responses_sent << ',' << s.loop_iterations
-        << ';';
-  }
-  // Same seed must spend every nanosecond in the same place on the same CPU,
-  // not just reach the same totals.
-  out << r.attack_stats.syns_sent << '|' << r.chain_stats.connect_evals << '|'
-      << r.chain_stats.dropped << '|' << r.chain_stats.rate_limit_drops << '|'
-      << r.defense_stats.escalations << '|' << r.defense_stats.tier_peak << '|'
-      << r.syn_backlog_peak << '|';
-  out << r.attribution.Signature() << '|' << r.busy_time << '|';
-  for (SimDuration d : r.cpu_busy) {
-    out << d << ',';
-  }
-  out << '|';
-  for (double rate : r.reply_series) {
-    out << rate << ',';
-  }
-  return out.str();
 }
 
 }  // namespace
@@ -141,37 +111,8 @@ SmpBenchmarkResult RunSmpBenchmark(const SmpBenchmarkConfig& config) {
   kernel.RequestStop();
 
   // --- reduction ---------------------------------------------------------------
-  PercentileTracker conn_times;
-  conn_times.Reserve(generator.records().size());
-  RateSeries window(config.sample_width, config.active.duration);
-  for (const ConnRecord& record : generator.records()) {
-    ++result.attempts;
-    switch (record.outcome) {
-      case ConnOutcome::kOk:
-        ++result.successes;
-        window.Add(record.end - config.warmup);
-        conn_times.Add(ToMillis(record.ConnTime()));
-        break;
-      case ConnOutcome::kPending:
-        ++result.pending;
-        break;
-      default:
-        ++result.errors;
-        break;
-    }
-  }
-  const StreamingStats rate_stats = window.Summary();
-  result.reply_series = window.Rates();
-  result.reply_avg = rate_stats.mean();
-  result.reply_min = rate_stats.min();
-  result.reply_max = rate_stats.max();
-  result.reply_stddev = rate_stats.stddev();
-  const uint64_t resolved = result.successes + result.errors;
-  result.error_pct =
-      resolved == 0 ? 0.0
-                    : 100.0 * static_cast<double>(result.errors) / static_cast<double>(resolved);
-  result.median_conn_ms = conn_times.Median();
-  result.p90_conn_ms = conn_times.Percentile(90.0);
+  ReduceConnRecords(generator.records(), config.warmup, config.active.duration,
+                    config.sample_width, &result);
 
   result.kernel_stats = kernel.stats();
   for (int i = 0; i < pool.workers(); ++i) {
@@ -213,7 +154,7 @@ SmpBenchmarkResult RunSmpBenchmark(const SmpBenchmarkConfig& config) {
         std::max<uint64_t>(result.syn_backlog_peak, shard->syn_backlog_peak());
   }
 
-  result.signature = BuildSignature(result);
+  result.mem = kernel.mem();
 
   // `sim` outlives `net` on unwind; drop undelivered events (which hold
   // sockets that release ports on destruction) while the stack is alive.

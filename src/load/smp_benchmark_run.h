@@ -58,56 +58,23 @@ struct SmpBenchmarkConfig {
   size_t rt_queue_max = kDefaultRtQueueMax;
 };
 
-struct SmpBenchmarkResult {
-  // Offered load / topology.
-  double target_rate = 0;
-  int inactive = 0;
+// Every BenchmarkResult field keeps its meaning, so Signature() covers an SMP
+// run too; per-worker server counters and per-CPU busy time fill the
+// multi-worker fields (server_stats stays zero), and cpu_utilization is
+// busy_time / (wall * cpus): >1 is impossible, ~1/cpus on one busy worker.
+struct SmpBenchmarkResult : BenchmarkResult {
+  // Topology.
   int workers = 0;
   int cpus = 0;
   std::string mode;
 
-  // Reply-rate reduction, as in BenchmarkResult.
-  double reply_avg = 0;
-  double reply_min = 0;
-  double reply_max = 0;
-  double reply_stddev = 0;
-  uint64_t attempts = 0;
-  uint64_t successes = 0;
-  uint64_t errors = 0;
-  uint64_t pending = 0;
-  double error_pct = 0;
-  double median_conn_ms = 0;
-  double p90_conn_ms = 0;
-  std::vector<double> reply_series;
-
-  // SMP observables.
+  // SMP observables, derived from kernel_stats and worker_stats.
   uint64_t total_accepted = 0;
   // Process wakes triggered by listener SYN notifications; the herd metric.
   uint64_t listener_syn_wakeups = 0;
   double wakeups_per_accept = 0;
   uint64_t context_switches = 0;
   uint64_t exclusive_adds = 0;
-
-  KernelStats kernel_stats;
-  std::vector<ServerStats> worker_stats;
-  TimeAttribution attribution;
-  SimDuration busy_time = 0;
-  // Per-CPU ledger sums; their total equals busy time spent under workers.
-  std::vector<SimDuration> cpu_busy;
-  // busy_time / (wall * cpus): >1 is impossible, ~1/cpus on one busy worker.
-  double cpu_utilization = 0;
-
-  bool setup_ok = true;
-
-  // Ingress attack & defense observability (all zero when unused).
-  FaultStats fault_stats;
-  AttackStats attack_stats;
-  FilterChainStats chain_stats;
-  DefenseStats defense_stats;
-  uint64_t syn_backlog_peak = 0;  // worst shard
-
-  // Everything that must be bit-identical across two runs of the same seed.
-  std::string signature;
 };
 
 SmpBenchmarkResult RunSmpBenchmark(const SmpBenchmarkConfig& config);

@@ -7,6 +7,15 @@
 
 namespace scio {
 
+std::vector<std::pair<std::string, uint64_t>> ServerStats::ToRows() const {
+  std::vector<std::pair<std::string, uint64_t>> rows;
+  rows.reserve(kFieldCount);
+#define SCIO_X(field, row_name) rows.emplace_back(row_name, field);
+  SCIO_SERVER_STATS_FIELDS(SCIO_X)
+#undef SCIO_X
+  return rows;
+}
+
 HttpServerBase::HttpServerBase(Sys* sys, const StaticContent* content, ServerConfig config)
     : sys_(sys), content_(content), config_(config) {
   conns_.set_limit(static_cast<size_t>(sys_->proc().fds().max_fds()));

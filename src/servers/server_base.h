@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/sys.h"
 #include "src/http/request_parser.h"
@@ -41,26 +43,63 @@ struct ServerConfig {
   SimDuration pressure_idle_timeout = Seconds(2);
 };
 
+// Per-server counters. Like KernelStats, the field list is one X-macro: the
+// members and the ToRows() export are generated from it, so a row can never
+// drift from the struct.
+// X(field, row_name)
+#define SCIO_SERVER_STATS_FIELDS(X)                                           \
+  X(connections_accepted, "server.connections_accepted")                      \
+  X(responses_sent, "server.responses_sent")                                  \
+  X(not_found_sent, "server.not_found_sent")                                  \
+  X(bad_requests, "server.bad_requests")                                      \
+  X(idle_timeouts, "server.idle_timeouts")                                    \
+  X(peer_closes, "server.peer_closes")                                        \
+  X(accept_emfile, "server.accept_emfile")                                    \
+  /* Events for already-closed connections. */                                \
+  X(stale_events, "server.stale_events")                                      \
+  X(loop_iterations, "server.loop_iterations")                                \
+  /* RT signal queue overflows handled. */                                    \
+  X(overflow_recoveries, "server.overflow_recoveries")                        \
+  /* Hybrid server transitions. */                                            \
+  X(mode_switches, "server.mode_switches")                                    \
+  /* Accepts skipped under fd pressure. */                                    \
+  X(accepts_throttled, "server.accepts_throttled")                            \
+  /* Idle conns closed early under pressure. */                               \
+  X(pressure_reaps, "server.pressure_reaps")                                  \
+  /* Waits interrupted and retried. */                                        \
+  X(eintr_returns, "server.eintr_returns")                                    \
+  /* EPIPE/EBADF on response writes. */                                       \
+  X(write_errors, "server.write_errors")                                      \
+  /* Interest batches requeued on ENOMEM. */                                  \
+  X(devpoll_write_retries, "server.devpoll_write_retries")                    \
+  /* Sweep-driven re-probes of a stalled backlog. */                          \
+  X(accept_retries, "server.accept_retries")                                  \
+  /* Conns reaped for outliving the request deadline. */                      \
+  X(deadline_reaps, "server.deadline_reaps")
+
 struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t responses_sent = 0;
-  uint64_t not_found_sent = 0;
-  uint64_t bad_requests = 0;
-  uint64_t idle_timeouts = 0;
-  uint64_t peer_closes = 0;
-  uint64_t accept_emfile = 0;
-  uint64_t stale_events = 0;     // events for already-closed connections
-  uint64_t loop_iterations = 0;
-  uint64_t overflow_recoveries = 0;  // RT signal queue overflows handled
-  uint64_t mode_switches = 0;        // hybrid server transitions
-  uint64_t accepts_throttled = 0;    // accepts skipped under fd pressure
-  uint64_t pressure_reaps = 0;       // idle conns closed early under pressure
-  uint64_t eintr_returns = 0;        // waits interrupted and retried
-  uint64_t write_errors = 0;         // EPIPE/EBADF on response writes
-  uint64_t devpoll_write_retries = 0;  // interest batches requeued on ENOMEM
-  uint64_t accept_retries = 0;       // sweep-driven re-probes of a stalled backlog
-  uint64_t deadline_reaps = 0;       // conns reaped for outliving the request deadline
+#define SCIO_X(field, row_name) uint64_t field = 0;
+  SCIO_SERVER_STATS_FIELDS(SCIO_X)
+#undef SCIO_X
+
+  // Number of counters (== ToRows().size()).
+  static constexpr size_t kFieldCount = []() constexpr {
+    size_t n = 0;
+#define SCIO_X(field, row_name) ++n;
+    SCIO_SERVER_STATS_FIELDS(SCIO_X)
+#undef SCIO_X
+    return n;
+  }();
+
+  // Export all counters as (name, value) pairs.
+  std::vector<std::pair<std::string, uint64_t>> ToRows() const;
 };
+
+// Drift guard, as for KernelStats: a plain member outside the X-macro would
+// grow the struct without growing the row export.
+static_assert(sizeof(ServerStats) == ServerStats::kFieldCount * sizeof(uint64_t),
+              "add ServerStats counters via SCIO_SERVER_STATS_FIELDS, not as "
+              "plain members");
 
 class HttpServerBase {
  public:

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/load/abusive_clients.h"
 #include "src/load/benchmark_run.h"
@@ -155,27 +156,6 @@ TEST(BenchmarkRunTest, SmallRunProducesSaneNumbers) {
 
 class DeterminismTest : public ::testing::TestWithParam<ServerKind> {};
 
-// Everything that must be bit-identical across two runs of the same seed —
-// the event engine's replay contract (same-time events in schedule order).
-std::string MetricsSignature(const BenchmarkResult& r) {
-  std::ostringstream out;
-  out.precision(17);
-  out << r.attempts << '|' << r.successes << '|' << r.errors << '|' << r.pending
-      << '|' << r.reply_avg << '|' << r.reply_min << '|' << r.reply_max << '|'
-      << r.reply_stddev << '|' << r.median_conn_ms << '|' << r.p90_conn_ms << '|'
-      << r.cpu_utilization << '|' << r.kernel_stats.syscalls << '|'
-      << r.kernel_stats.poll_driver_calls << '|'
-      << r.kernel_stats.devpoll_driver_calls << '|'
-      << r.kernel_stats.devpoll_interests_scanned << '|'
-      << r.kernel_stats.devpoll_driver_calls_avoided << '|'
-      << r.kernel_stats.devpoll_scan_stale_fd << '|'
-      << r.server_stats.connections_accepted;
-  for (const double v : r.reply_series) {
-    out << '|' << v;
-  }
-  return out.str();
-}
-
 TEST_P(DeterminismTest, IdenticalSeedsIdenticalResults) {
   BenchmarkRunConfig config;
   config.server = GetParam();
@@ -192,7 +172,7 @@ TEST_P(DeterminismTest, IdenticalSeedsIdenticalResults) {
   EXPECT_EQ(a.kernel_stats.poll_driver_calls, b.kernel_stats.poll_driver_calls);
   EXPECT_EQ(a.kernel_stats.devpoll_driver_calls, b.kernel_stats.devpoll_driver_calls);
   EXPECT_DOUBLE_EQ(a.median_conn_ms, b.median_conn_ms);
-  EXPECT_EQ(MetricsSignature(a), MetricsSignature(b));
+  EXPECT_EQ(Signature(a), Signature(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllServers, DeterminismTest,
@@ -225,7 +205,7 @@ TEST(BenchmarkRunTest, RetryJitterDrawsNothingWhenZero) {
   const BenchmarkResult b = RunBenchmark(config);
   EXPECT_GT(a.client_retries, 0u) << "the storm must actually cause retries";
   EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_EQ(MetricsSignature(a), MetricsSignature(b));
+  EXPECT_EQ(Signature(a), Signature(b));
 }
 
 TEST(BenchmarkRunTest, RetryJitterIsSeededAndDeterministic) {
@@ -235,10 +215,66 @@ TEST(BenchmarkRunTest, RetryJitterIsSeededAndDeterministic) {
   const BenchmarkResult b = RunBenchmark(config);
   EXPECT_GT(a.client_retries, 0u);
   EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_EQ(MetricsSignature(a), MetricsSignature(b));
+  EXPECT_EQ(Signature(a), Signature(b));
   // And the knob is live: a jittered timeline differs from the unjittered one.
   const BenchmarkResult plain = RunBenchmark(RetryStormConfig());
-  EXPECT_NE(MetricsSignature(a), MetricsSignature(plain));
+  EXPECT_NE(Signature(a), Signature(plain));
+}
+
+// The run signature covers every stats surface by construction: perturbing a
+// single field anywhere in a real result must change it.
+TEST(BenchmarkRunTest, SignatureCoversEveryStatsSurface) {
+  BenchmarkRunConfig config;
+  config.server = ServerKind::kThttpdDevPoll;
+  config.active.request_rate = 300;
+  config.active.duration = Seconds(1);
+  config.inactive.connections = 10;
+  config.warmup = Millis(500);
+  config.drain = Millis(500);
+  const BenchmarkResult base = RunBenchmark(config);
+  ASSERT_TRUE(base.setup_ok);
+  ASSERT_FALSE(base.reply_series.empty());
+  const std::string base_signature = Signature(base);
+
+  const std::vector<std::pair<const char*, std::function<void(BenchmarkResult*)>>>
+      perturbations = {
+          {"scalar count", [](BenchmarkResult* r) { ++r->pending; }},
+          {"scalar latency", [](BenchmarkResult* r) { r->p90_conn_ms += 0.5; }},
+          {"busy time", [](BenchmarkResult* r) { ++r->busy_time; }},
+          {"kernel row", [](BenchmarkResult* r) { ++r->kernel_stats.kq_spurious_active; }},
+          {"server row", [](BenchmarkResult* r) { ++r->server_stats.deadline_reaps; }},
+          {"worker row",
+           [](BenchmarkResult* r) { r->worker_stats.push_back(r->server_stats); }},
+          {"fault row", [](BenchmarkResult* r) { ++r->fault_stats.packets_flap_held; }},
+          {"attack row", [](BenchmarkResult* r) { ++r->attack_stats.syns_sent; }},
+          {"chain row", [](BenchmarkResult* r) { ++r->chain_stats.dropped; }},
+          {"defense row", [](BenchmarkResult* r) { ++r->defense_stats.tier_peak; }},
+          {"transport row", [](BenchmarkResult* r) { ++r->transport_stats.rto_fires; }},
+          {"attribution category",
+           [](BenchmarkResult* r) { r->attribution.Add(ChargeCat::kTimerSweep, 1); }},
+          {"mem ledger row", [](BenchmarkResult* r) { r->mem.Add(MemSys::kTimers, 1); }},
+          {"cpu busy", [](BenchmarkResult* r) { r->cpu_busy.push_back(0); }},
+          {"reply series bucket", [](BenchmarkResult* r) { r->reply_series.back() += 1; }},
+      };
+  for (const auto& [what, perturb] : perturbations) {
+    BenchmarkResult changed = base;
+    perturb(&changed);
+    EXPECT_NE(Signature(changed), base_signature) << what;
+  }
+  // Every counter of the X-macro surfaces, not just a sample of them.
+#define SCIO_X(surface, field, row_name)                       \
+  {                                                            \
+    BenchmarkResult changed = base;                            \
+    ++changed.surface.field;                                   \
+    EXPECT_NE(Signature(changed), base_signature) << row_name; \
+  }
+#define SCIO_KERNEL_X(field, row_name) SCIO_X(kernel_stats, field, row_name)
+#define SCIO_SERVER_X(field, row_name) SCIO_X(server_stats, field, row_name)
+  SCIO_KERNEL_STATS_FIELDS(SCIO_KERNEL_X)
+  SCIO_SERVER_STATS_FIELDS(SCIO_SERVER_X)
+#undef SCIO_SERVER_X
+#undef SCIO_KERNEL_X
+#undef SCIO_X
 }
 
 TEST(BenchmarkRunTest, DevPollBeatsStockPollUnderInactiveLoad) {

@@ -218,7 +218,7 @@ TEST(SmpDeterminism, EightCpuDoubleRunIsBitIdentical) {
   const SmpBenchmarkResult first = RunSmpBenchmark(config);
   const SmpBenchmarkResult second = RunSmpBenchmark(config);
   ASSERT_TRUE(first.setup_ok);
-  EXPECT_EQ(first.signature, second.signature);
+  EXPECT_EQ(Signature(first), Signature(second));
 }
 
 TEST(SmpDeterminism, ShardedDoubleRunIsBitIdentical) {
@@ -227,7 +227,7 @@ TEST(SmpDeterminism, ShardedDoubleRunIsBitIdentical) {
   const SmpBenchmarkResult first = RunSmpBenchmark(config);
   const SmpBenchmarkResult second = RunSmpBenchmark(config);
   ASSERT_TRUE(first.setup_ok);
-  EXPECT_EQ(first.signature, second.signature);
+  EXPECT_EQ(Signature(first), Signature(second));
 }
 
 TEST(SmpDeterminism, ShardedRoutingStableAcrossLinkFlap) {
@@ -243,7 +243,7 @@ TEST(SmpDeterminism, ShardedRoutingStableAcrossLinkFlap) {
   const SmpBenchmarkResult second = RunSmpBenchmark(config);
   ASSERT_TRUE(first.setup_ok);
   EXPECT_GT(first.fault_stats.packets_flap_held, 0u) << "the flap actually bit";
-  EXPECT_EQ(first.signature, second.signature);
+  EXPECT_EQ(Signature(first), Signature(second));
   int workers_with_accepts = 0;
   for (const ServerStats& s : first.worker_stats) {
     if (s.connections_accepted > 0) {
