@@ -9,10 +9,17 @@
 //   2. the owner's RT signal queue, if fcntl(F_SETSIG) armed one (paper §2);
 //   3. the file's poll wait queue, waking blocked poll()/DP_POLL sleepers.
 // Hints are set before sleepers wake, so a woken scan always observes them.
+//
+// Every connection holds a File, so its layout is kept to 72 bytes: the first
+// listener (the one-interest case of every epoll/kqueue/devpoll
+// registration) sits inline, and further listeners plus all RT-signal state
+// live in a side block allocated on first use. Most files never allocate it.
 
 #ifndef SRC_KERNEL_FILE_H_
 #define SRC_KERNEL_FILE_H_
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "src/kernel/poll_types.h"
@@ -66,7 +73,9 @@ class File {
 
   void AddStatusListener(StatusListener* listener);
   void RemoveStatusListener(StatusListener* listener);
-  size_t status_listener_count() const { return listeners_.size(); }
+  size_t status_listener_count() const {
+    return first_listener_ == nullptr ? 0 : 1 + (fan_out_ ? fan_out_->more_listeners.size() : 0);
+  }
 
   // fcntl(F_SETOWN)/fcntl(F_SETSIG): arm async event signals. The owner list
   // supports one subscription per process so N workers can share a listener.
@@ -75,13 +84,21 @@ class File {
   // (the legacy single-owner disarm path).
   void SetAsyncSignal(Process* owner, int signo);
   Process* async_owner() const {
-    return async_subs_.empty() ? nullptr : async_subs_.front().proc;
+    return async_sub_count() == 0 ? nullptr : fan_out_->async_subs.front().proc;
   }
-  int async_signo() const { return async_subs_.empty() ? 0 : async_subs_.front().signo; }
-  size_t async_sub_count() const { return async_subs_.size(); }
+  int async_signo() const {
+    return async_sub_count() == 0 ? 0 : fan_out_->async_subs.front().signo;
+  }
+  size_t async_sub_count() const { return fan_out_ ? fan_out_->async_subs.size() : 0; }
 
-  void SetAsyncDeliveryMode(AsyncDeliveryMode mode) { async_mode_ = mode; }
-  AsyncDeliveryMode async_delivery_mode() const { return async_mode_; }
+  void SetAsyncDeliveryMode(AsyncDeliveryMode mode);
+  AsyncDeliveryMode async_delivery_mode() const {
+    return fan_out_ ? fan_out_->async_mode : AsyncDeliveryMode::kAll;
+  }
+
+  // Whether the side block holding extra listeners and RT-signal state has
+  // been allocated (exposed for the footprint tests).
+  bool has_fan_out() const { return fan_out_ != nullptr; }
 
   // The fd number this file is installed under (for signal payloads and
   // result reporting). Maintained by FdTable.
@@ -94,12 +111,22 @@ class File {
     int signo = 0;
   };
 
+  // Everything past the first listener: rare, so allocated on first use.
+  struct FanOut {
+    std::vector<StatusListener*> more_listeners;  // after first_listener_
+    std::vector<AsyncSub> async_subs;             // registration order
+    AsyncDeliveryMode async_mode = AsyncDeliveryMode::kAll;
+    size_t async_rr_next = 0;
+  };
+
+  FanOut& fan_out();
+  // Free the side block once it holds nothing a fresh one would not.
+  void ReleaseIdleFanOut();
+
   SimKernel* kernel_;
   WaitQueue poll_wait_;
-  std::vector<StatusListener*> listeners_;
-  std::vector<AsyncSub> async_subs_;  // registration order
-  AsyncDeliveryMode async_mode_ = AsyncDeliveryMode::kAll;
-  size_t async_rr_next_ = 0;
+  StatusListener* first_listener_ = nullptr;  // registration order: first
+  std::unique_ptr<FanOut> fan_out_;
   int fd_number_ = -1;
 };
 

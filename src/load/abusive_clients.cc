@@ -83,7 +83,7 @@ void AbusiveFleet::ConnectSlowloris(size_t idx) {
     if (m.socket != nullptr) {
       // This lambda *is* the socket's on_eof/on_refused. Detach every
       // callback before Close() so no further event re-enters us, and so
-      // dropping our strong reference below never destroys a std::function
+      // dropping our strong reference below never destroys a callback
       // that is still on the call stack (the dispatch sites also invoke a
       // local copy, but teardown should not lean on that alone).
       m.socket->on_connected = nullptr;

@@ -13,9 +13,9 @@ namespace scio {
 SimSocket::SimSocket(SimKernel* kernel, NetStack* net, bool server_side)
     : File(kernel),
       net_(net),
-      server_side_(server_side),
+      sndbuf_(net->config().sndbuf),
       state_(server_side ? State::kEstablished : State::kConnecting),
-      sndbuf_(net->config().sndbuf) {}
+      server_side_(server_side) {}
 
 SimSocket::~SimSocket() {
   if (transport_ != nullptr) {
@@ -116,7 +116,7 @@ void SimSocket::DeliverChunk(Chunk chunk) {
   recv_queue_.push_back(std::move(chunk));
   NotifyStatus(kPollIn);
   // Copy before invoking: the callback may Close() and drop the last strong
-  // reference to this socket, destroying the member std::function mid-call.
+  // reference to this socket, destroying the member callback mid-call.
   if (auto cb = on_data) {
     cb(n);
   }
@@ -132,7 +132,7 @@ void SimSocket::AcceptTransportBytes(Chunk chunk) {
   recv_queue_.push_back(std::move(chunk));
   NotifyStatus(kPollIn);
   // Copy before invoking: the callback may Close() and drop the last strong
-  // reference to this socket, destroying the member std::function mid-call.
+  // reference to this socket, destroying the member callback mid-call.
   if (auto cb = on_data) {
     cb(n);
   }

@@ -17,13 +17,14 @@
 #define SRC_NET_SOCKET_H_
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "src/kernel/file.h"
 #include "src/kernel/poll_types.h"
 #include "src/net/chunk_queue.h"
+#include "src/net/socket_callback.h"
 
 namespace scio {
 
@@ -39,7 +40,7 @@ struct ReadResult {
 
 class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
  public:
-  enum class State {
+  enum class State : uint8_t {
     kConnecting,   // client side, SYN in flight
     kEstablished,  // data may flow
     kPeerClosed,   // peer sent FIN; reads drain then return EOF
@@ -80,10 +81,10 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   void Close() { CloseInternal(); }
 
   // --- client-side callbacks ---------------------------------------------------
-  std::function<void()> on_connected;
-  std::function<void()> on_refused;
-  std::function<void(size_t bytes)> on_data;
-  std::function<void()> on_eof;
+  SocketCallback<void()> on_connected;
+  SocketCallback<void()> on_refused;
+  SocketCallback<void(size_t bytes)> on_data;
+  SocketCallback<void()> on_eof;
 
   // --- wiring (NetStack / SimListener internals) -------------------------------
   void WirePeer(std::shared_ptr<SimSocket> peer) { peer_ = std::move(peer); }
@@ -125,23 +126,23 @@ class SimSocket : public File, public std::enable_shared_from_this<SimSocket> {
   void CloseInternal();
   void OnBytesAcked(size_t n);
 
+  // Word-sized members first, then the narrow ones packed without padding:
+  // every connection holds two sockets, so the layout is kept to 256 bytes.
   NetStack* net_;
-  bool server_side_;
-  State state_;
-  int port_ = -1;
-  int remote_port_ = -1;
   std::weak_ptr<SimSocket> peer_;
-
   ChunkQueue recv_queue_;
   size_t recv_available_ = 0;
-  bool eof_received_ = false;
-  bool port_released_ = false;
-
   size_t sndbuf_;
   size_t in_flight_ = 0;
-
   TcpTransportHook* transport_ = nullptr;
+
+  int port_ = -1;
+  int remote_port_ = -1;
   int32_t transport_index_ = -1;
+  State state_;
+  bool server_side_;
+  bool eof_received_ = false;
+  bool port_released_ = false;
 };
 
 }  // namespace scio

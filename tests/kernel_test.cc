@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/kernel/fd_table.h"
 #include "src/kernel/file.h"
 #include "src/kernel/process.h"
@@ -155,6 +158,118 @@ TEST_F(KernelFixture, NotifyStatusReachesListeners) {
   file.RemoveStatusListener(&listener);
   file.NotifyStatus(kPollIn);
   EXPECT_EQ(listener.calls, 1);
+}
+
+// Records each notification as its name, so fan-out order is visible.
+class NamedListener : public StatusListener {
+ public:
+  NamedListener(char name, std::string* log) : name_(name), log_(log) {}
+  void OnFileStatus(File& /*file*/, PollEvents /*mask*/) override { log_->push_back(name_); }
+
+ private:
+  char name_;
+  std::string* log_;
+};
+
+TEST_F(KernelFixture, FanOutKeepsRegistrationOrderAcrossRemoval) {
+  FakeFile file(&kernel);
+  std::string log;
+  NamedListener a('A', &log);
+  NamedListener b('B', &log);
+  NamedListener c('C', &log);
+  EXPECT_EQ(file.status_listener_count(), 0u);
+  file.AddStatusListener(&a);
+  EXPECT_EQ(file.status_listener_count(), 1u);
+  EXPECT_FALSE(file.has_fan_out()) << "the first listener sits inline";
+  file.AddStatusListener(&b);
+  EXPECT_EQ(file.status_listener_count(), 2u);
+  file.AddStatusListener(&c);
+  EXPECT_EQ(file.status_listener_count(), 3u);
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(log, "ABC");
+
+  // Removing the inline listener promotes the next registration.
+  file.RemoveStatusListener(&a);
+  EXPECT_EQ(file.status_listener_count(), 2u);
+  log.clear();
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(log, "BC");
+
+  file.RemoveStatusListener(&c);
+  EXPECT_EQ(file.status_listener_count(), 1u);
+  EXPECT_FALSE(file.has_fan_out()) << "an emptied side block is freed";
+  log.clear();
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(log, "B");
+
+  file.RemoveStatusListener(&b);
+  EXPECT_EQ(file.status_listener_count(), 0u);
+  log.clear();
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(log, "");
+}
+
+TEST_F(KernelFixture, RtSignalFanOutAndRoundRobinOverThreeSubscribers) {
+  FakeFile file(&kernel);
+  file.set_fd_number(5);
+  EXPECT_EQ(file.async_delivery_mode(), AsyncDeliveryMode::kAll);
+  file.SetAsyncDeliveryMode(AsyncDeliveryMode::kAll);
+  EXPECT_FALSE(file.has_fan_out()) << "the default mode needs no side block";
+
+  std::vector<Process*> subs = {&kernel.CreateProcess("w0"), &kernel.CreateProcess("w1"),
+                                &kernel.CreateProcess("w2")};
+  for (Process* p : subs) {
+    file.SetAsyncSignal(p, kSigRtMin);
+  }
+  EXPECT_EQ(file.async_sub_count(), 3u);
+  EXPECT_EQ(file.async_owner(), subs[0]);
+
+  // Which subscriber(s) received the last notification, draining each queue.
+  auto receivers = [&] {
+    std::string got;
+    for (size_t i = 0; i < subs.size(); ++i) {
+      while (auto si = subs[i]->DequeueSignal()) {
+        EXPECT_EQ(si->fd, 5);
+        got.push_back(static_cast<char>('0' + i));
+      }
+    }
+    return got;
+  };
+
+  // kAll: the herd — every subscriber gets every event.
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(receivers(), "012");
+
+  // kRoundRobin: one subscriber per event, rotating in registration order.
+  file.SetAsyncDeliveryMode(AsyncDeliveryMode::kRoundRobin);
+  EXPECT_EQ(file.async_delivery_mode(), AsyncDeliveryMode::kRoundRobin);
+  std::string order;
+  for (int i = 0; i < 6; ++i) {
+    file.NotifyStatus(kPollIn);
+    order += receivers();
+  }
+  EXPECT_EQ(order, "012012");
+
+  // Unsubscribing one process restarts the rotation over the survivors.
+  file.NotifyStatus(kPollIn);
+  EXPECT_EQ(receivers(), "0");
+  file.SetAsyncSignal(subs[1], 0);
+  EXPECT_EQ(file.async_sub_count(), 2u);
+  order.clear();
+  for (int i = 0; i < 3; ++i) {
+    file.NotifyStatus(kPollIn);
+    order += receivers();
+  }
+  EXPECT_EQ(order, "020");
+
+  // Disarming everything keeps the chosen mode; returning to kAll frees the
+  // side block.
+  file.SetAsyncSignal(nullptr, 0);
+  EXPECT_EQ(file.async_sub_count(), 0u);
+  EXPECT_EQ(file.async_owner(), nullptr);
+  EXPECT_EQ(file.async_delivery_mode(), AsyncDeliveryMode::kRoundRobin);
+  file.SetAsyncDeliveryMode(AsyncDeliveryMode::kAll);
+  EXPECT_FALSE(file.has_fan_out());
 }
 
 TEST_F(KernelFixture, NotifyStatusQueuesArmedSignal) {
